@@ -138,6 +138,31 @@ perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
     --no-pushdown -o "$PUSHDOWN_DIR/plain" --dbdir "$PUSHDOWN_DIR/db"
 diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/plain"
 
+echo "== workflow without scipy/networkx: same artifacts as unblocked =="
+# every process of the workflow runs with a meta-path finder that
+# refuses scipy and networkx, so a stray import of either fails here
+perfbase_nodeps() {
+    python -c "import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition('.')[0] in ('scipy', 'networkx'):
+            raise ImportError(name + ' is blocked')
+sys.meta_path.insert(0, Block())
+from repro.cli.main import main
+sys.exit(main(sys.argv[1:]))" "$@"
+}
+for run in nodeps plain; do
+    cmd=perfbase
+    test "$run" = nodeps && cmd=perfbase_nodeps
+    $cmd setup -d "$PUSHDOWN_DIR/experiment.xml" \
+        --dbdir "$PUSHDOWN_DIR/db-$run"
+    $cmd input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
+        --dbdir "$PUSHDOWN_DIR/db-$run" "$PUSHDOWN_DIR"/results/*
+    $cmd query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" \
+        -o "$PUSHDOWN_DIR/out-$run" --dbdir "$PUSHDOWN_DIR/db-$run"
+done
+diff -r "$PUSHDOWN_DIR/out-nodeps" "$PUSHDOWN_DIR/out-plain"
+
 echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="
 python -m pytest -q -p no:randomly --benchmark-disable \
     benchmarks/bench_pushdown.py

@@ -17,9 +17,18 @@ Public entry points::
 from .core import (DataType, Experiment, ExperimentInfo, Occurrence,
                    Parameter, PerfbaseError, Person, Result, RunData, Unit,
                    UserClass, Variable, VariableSet)
-from .db import MemoryDatabaseServer, MemoryServer, SQLiteServer
+from .db import MemoryServer, SQLiteServer
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # the in-memory columnar backend loads on first use (see repro.db)
+    if name == "MemoryDatabaseServer":
+        from . import db
+        return db.MemoryDatabaseServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DataType", "Experiment", "ExperimentInfo", "Occurrence", "Parameter",

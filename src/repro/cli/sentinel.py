@@ -6,22 +6,26 @@ check --against/--all`` runs the sentinel comparison, and ``perfbase
 metrics dump`` exposes a counter/gauge/histogram registry — the live
 one when a tracer is active (in-process callers), else the final
 snapshot of a recorded trace file.
+
+:mod:`repro.sentinel` is imported inside the commands that use it, so
+registering these subcommands costs every other ``perfbase`` process
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from typing import TYPE_CHECKING
 
 from ..obs import metrics_table, read_trace
 from ..obs.metrics import Metrics
 from ..obs.tracer import current_tracer
-from ..sentinel import (BaselineStore, CheckOptions, capture_baseline,
-                        get_workload, import_bench_history, run_check)
-from ..sentinel.assets import (EXPERIMENT_NAME,
-                               element_trend_query_xml)
 from .common import (CommandError, add_dbdir_argument,
                      add_obs_arguments, echo, obs_session, open_server)
+
+if TYPE_CHECKING:
+    from ..sentinel import CheckOptions
 
 __all__ = ["cmd_check_sentinel", "cmd_baseline", "cmd_metrics",
            "register_sentinel"]
@@ -31,6 +35,7 @@ __all__ = ["cmd_check_sentinel", "cmd_baseline", "cmd_metrics",
 
 
 def sentinel_options(args: argparse.Namespace) -> CheckOptions:
+    from ..sentinel import CheckOptions
     return CheckOptions(sensitivity=args.sensitivity,
                         method=args.method,
                         min_samples=args.min_samples,
@@ -40,6 +45,7 @@ def sentinel_options(args: argparse.Namespace) -> CheckOptions:
 
 def cmd_check_sentinel(args: argparse.Namespace) -> int:
     """Re-run the sentinel suite and compare against stored baselines."""
+    from ..sentinel import run_check
     server = open_server(args)
     with obs_session(args):
         outcome = run_check(server, against=args.against,
@@ -59,6 +65,8 @@ def cmd_check_sentinel(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     """Manage stored sentinel baselines."""
+    from ..sentinel import (BaselineStore, capture_baseline, get_workload,
+                            import_bench_history)
     server = open_server(args)
     action = args.action
     if action == "add":
@@ -122,6 +130,8 @@ def _required_name(args: argparse.Namespace, what: str) -> str:
 def _show_baseline(server, name: str) -> int:
     """Per-element sample statistics of one baseline, plus the
     declarative hotspot query over the baselines experiment."""
+    from ..sentinel import BaselineStore
+    from ..sentinel.assets import EXPERIMENT_NAME, element_trend_query_xml
     from ..xmlio import parse_query_xml
     store = BaselineStore(server)
     try:

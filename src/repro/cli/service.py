@@ -7,7 +7,8 @@ live counter/gauge snapshot after an optional probe session.
 harness (:mod:`repro.service.stress`) against a scratch directory:
 hundreds of clients over several shards, optionally under an injected
 fault plan, verifying zero lost/phantom/corrupted runs and
-result-identity with the direct path.
+result-identity with the direct path.  :mod:`repro.service` is
+imported on first use, inside the commands.
 """
 
 from __future__ import annotations
@@ -15,16 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
+from typing import TYPE_CHECKING
 
-from ..service import (ExperimentService, ServiceConfig, StressOptions,
-                       run_stress)
 from .common import (CommandError, add_dbdir_argument, add_obs_arguments,
                      echo, obs_session, open_server)
+
+if TYPE_CHECKING:
+    from ..service import ServiceConfig
 
 __all__ = ["cmd_service", "register_service"]
 
 
 def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    from ..service import ServiceConfig
     kw = {}
     if getattr(args, "max_sessions", None):
         kw["max_sessions"] = args.max_sessions
@@ -36,6 +40,7 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
+    from ..service import ExperimentService
     server = open_server(args)
     with ExperimentService(args.dbdir, server=server,
                            config=_service_config(args)) as service:
@@ -72,6 +77,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_stress(args: argparse.Namespace) -> int:
+    from ..service import StressOptions, run_stress
     directory = args.dbdir
     if args.scratch:
         directory = tempfile.mkdtemp(prefix="perfbase_stress_")

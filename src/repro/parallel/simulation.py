@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..core.errors import QueryError
 from ..query.graph import QueryGraph
 from .network import HIGH_SPEED, InterconnectModel
@@ -80,8 +78,8 @@ def simulate_schedule(graph: QueryGraph,
     transfers = 0
     transfer_seconds = 0.0
 
-    for name in nx.lexicographical_topological_sort(graph.graph):
-        element = graph.elements[name]
+    for element in graph.topological_order():
+        name = element.name
         node = placement[name]
         timing = profile.timing_of(name)
         arrival = 0.0

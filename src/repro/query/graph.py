@@ -10,16 +10,19 @@ cascaded."  This module validates those limits:
   consume an output);
 * every output must (transitively) reach a source.
 
-networkx carries the graph structure; it also gives the *levels*
-(longest path from a source) that the parallel scheduler of
+The structure is two adjacency maps (producers and consumers of each
+element), small enough that the standard library covers the rest:
+``graphlib`` finds cycles, a heap-based Kahn sort gives the
+name-stable execution order, and one pass over that order gives the
+*levels* (longest path from a source) that the parallel scheduler of
 Section 4.3 uses.
 """
 
 from __future__ import annotations
 
+import heapq
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
-
-import networkx as nx
 
 from ..core.errors import QueryError
 from .elements import QueryElement
@@ -39,9 +42,9 @@ class QueryGraph:
                 raise QueryError(
                     f"duplicate element name {element.name!r}")
             self.elements[element.name] = element
-        self.graph = nx.DiGraph()
-        for element in self.elements.values():
-            self.graph.add_node(element.name)
+        #: producers / consumers of each element (edges deduplicated)
+        self.preds: dict[str, set[str]] = {n: set() for n in self.elements}
+        self.succs: dict[str, set[str]] = {n: set() for n in self.elements}
         for element in self.elements.values():
             for input_name in element.inputs:
                 if input_name not in self.elements:
@@ -53,16 +56,19 @@ class QueryGraph:
                     raise QueryError(
                         f"output element {input_name!r} cannot feed "
                         f"{element.name!r}")
-                self.graph.add_edge(input_name, element.name)
+                self.preds[element.name].add(input_name)
+                self.succs[input_name].add(element.name)
         self._validate()
 
     def _validate(self) -> None:
         if not self.elements:
             raise QueryError("query has no elements")
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            path = " -> ".join(str(e[0]) for e in cycle)
-            raise QueryError(f"query graph has a cycle: {path}")
+        try:
+            TopologicalSorter(self.preds).prepare()
+        except CycleError as exc:
+            # the cycle comes back closed (first node repeated last)
+            path = " -> ".join(exc.args[1][:-1])
+            raise QueryError(f"query graph has a cycle: {path}") from None
         sources = {n for n, e in self.elements.items()
                    if isinstance(e, Source)}
         if not sources:
@@ -72,11 +78,22 @@ class QueryGraph:
                 raise QueryError(
                     f"{element.kind} element {name!r} has no inputs")
             if isinstance(element, Output):
-                reachable = nx.ancestors(self.graph, name)
+                reachable = self._ancestors(name)
                 if not reachable & sources:
                     raise QueryError(
                         f"output element {name!r} is not connected to "
                         "any source")
+
+    def _ancestors(self, name: str) -> set[str]:
+        """Every element ``name`` transitively consumes."""
+        seen: set[str] = set()
+        stack = list(self.preds[name])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self.preds[node])
+        return seen
 
     # -- structure queries ------------------------------------------------
 
@@ -92,8 +109,18 @@ class QueryGraph:
 
     def topological_order(self) -> list[QueryElement]:
         """Execution order: inputs before consumers, stable by name."""
-        order = list(nx.lexicographical_topological_sort(self.graph))
-        return [self.elements[name] for name in order]
+        indegree = {name: len(p) for name, p in self.preds.items()}
+        ready = [name for name, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(self.elements[name])
+            for consumer in self.succs[name]:
+                indegree[consumer] -= 1
+                if indegree[consumer] == 0:
+                    heapq.heappush(ready, consumer)
+        return order
 
     def levels(self) -> dict[str, int]:
         """Longest-path level of each element (sources are level 0).
@@ -102,10 +129,10 @@ class QueryGraph:
         schedule* — the parallelism the paper's Section 4.3 exploits.
         """
         level: dict[str, int] = {}
-        for name in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(name))
-            level[name] = (max(level[p] for p in preds) + 1
-                           if preds else 0)
+        for element in self.topological_order():
+            preds = self.preds[element.name]
+            level[element.name] = (max(level[p] for p in preds) + 1
+                                   if preds else 0)
         return level
 
     def width(self) -> int:
@@ -119,7 +146,7 @@ class QueryGraph:
         return max(counts.values())
 
     def consumers(self, name: str) -> list[str]:
-        return sorted(self.graph.successors(name))
+        return sorted(self.succs[name])
 
     def fingerprints(self, source_extra: dict | None = None
                      ) -> dict[str, str]:

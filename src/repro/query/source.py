@@ -31,6 +31,11 @@ from .elements import QueryContext, QueryElement
 from .pushdown import ORD_PREFIX, FusionError, SelectFragment
 from .vectors import ColumnInfo, DataVector
 
+#: SQLite's default ``SQLITE_MAX_COMPOUND_SELECT``: a compound SELECT
+#: with more operands fails to prepare, so a fused source over more
+#: runs falls back to the per-run INSERT..SELECT path
+MAX_COMPOUND_OPERANDS = 500
+
 __all__ = ["ParameterSpec", "RunFilter", "Source"]
 
 _OPS = {"==": "=", "=": "=", "!=": "<>", "<>": "<>",
@@ -454,6 +459,11 @@ class Source(QueryElement):
             raise FusionError(
                 f"source {self.name!r}: no matching runs — the "
                 "temp-table path produces the empty vector")
+        if len(operands) > MAX_COMPOUND_OPERANDS:
+            raise FusionError(
+                f"source {self.name!r}: {len(operands)} runs exceed "
+                f"the {MAX_COMPOUND_OPERANDS}-operand compound SELECT "
+                "limit")
         # each operand scans its run table in rowid (== dataset_index)
         # order and both engines emit UNION ALL operands left to right,
         # so the natural emission order is the unfused insertion order

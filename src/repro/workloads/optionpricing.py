@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["OptionConfig", "black_scholes_price", "MonteCarloPricer"]
 
@@ -51,6 +50,12 @@ class OptionConfig:
                              "positive and n_paths >= 2")
 
 
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function (the
+    formulation of scipy's ``ndtr``, accurate in the lower tail)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def black_scholes_price(cfg: OptionConfig) -> float:
     """Black-Scholes closed form for a European option."""
     s, k, r = cfg.spot, cfg.strike, cfg.rate
@@ -59,8 +64,8 @@ def black_scholes_price(cfg: OptionConfig) -> float:
           / (sigma * math.sqrt(t)))
     d2 = d1 - sigma * math.sqrt(t)
     if cfg.option_type == "call":
-        return s * norm.cdf(d1) - k * math.exp(-r * t) * norm.cdf(d2)
-    return k * math.exp(-r * t) * norm.cdf(-d2) - s * norm.cdf(-d1)
+        return s * _norm_cdf(d1) - k * math.exp(-r * t) * _norm_cdf(d2)
+    return k * math.exp(-r * t) * _norm_cdf(-d2) - s * _norm_cdf(-d1)
 
 
 class MonteCarloPricer:

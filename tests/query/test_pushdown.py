@@ -3,11 +3,18 @@ fallback paths, counters and cache interplay."""
 
 import pytest
 
-from repro.core import QueryError
+from repro.core import Experiment, QueryError
 from repro.obs import InMemorySink, Tracer, use_tracer
+from repro.parse import Importer
 from repro.query import (Combiner, Operator, Output, ParameterSpec,
                          Query, Source)
+from repro.query.source import MAX_COMPOUND_OPERANDS
 from repro.testing import assert_identical, query_outcome
+from repro.workloads.beffio import generate_campaign
+from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
+                                           input_xml)
+from repro.xmlio import (parse_experiment_xml, parse_input_xml,
+                         parse_query_xml)
 from tests.conftest import fill_simple, make_simple_experiment
 
 pytestmark = pytest.mark.pushdown
@@ -189,6 +196,30 @@ class TestFallbacks:
             with pytest.raises(QueryError,
                                match=r"'normed'.*'bw'.*denominator"):
                 query.execute(exp, pushdown=pushdown)
+
+    def test_source_over_compound_limit_falls_back(self, server):
+        # one UNION ALL operand per run: 550 ufs runs per technique
+        # exceed SQLite's compound-SELECT limit, so each Fig-8 source
+        # must take the element-wise path instead of failing
+        reps = 550
+        assert reps > MAX_COMPOUND_OPERANDS
+        definition = parse_experiment_xml(experiment_xml())
+        exp = Experiment.create(server, definition.name,
+                                list(definition.variables),
+                                definition.info)
+        importer = Importer(exp, parse_input_xml(input_xml()))
+        for fname, content in generate_campaign(repetitions=reps):
+            importer.import_text(content, fname)
+        assert exp.n_runs() == 2 * reps
+        plain = query_outcome(exp, parse_query_xml(fig8_query_xml()))
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            fused = query_outcome(exp, parse_query_xml(fig8_query_xml()),
+                                  pushdown=True)
+        assert plain["artifacts"], "Fig-8 query produced no artifacts"
+        assert_identical(plain["artifacts"], fused["artifacts"],
+                         "artifacts")
+        assert tracer.metrics.counter("pushdown.fallbacks").value >= 1
 
 
 class TestObservability:
