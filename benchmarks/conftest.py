@@ -48,15 +48,14 @@ def large_experiment():
     return build_large_experiment("beffio_large")
 
 
-def build_large_experiment(name, server=None):
+def build_large_experiment(name):
     """120 simulator-filled runs (used session-wide and by benches
-    that mutate their experiment and so need a private copy, or — via
-    ``server`` — a copy on a different storage backend)."""
+    that mutate their experiment and so need a private copy)."""
     from repro.core import RunData
     from repro.workloads.beffio import (BeffIOConfig, BeffIOSimulator,
                                         CHUNK_SIZES, PATTERNS)
     definition = parse_experiment_xml(experiment_xml())
-    server = server or MemoryServer()
+    server = MemoryServer()
     exp = Experiment.create(server, name,
                             list(definition.variables), definition.info)
     counter = 0

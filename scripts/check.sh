@@ -109,13 +109,10 @@ python -m pytest -q -p no:randomly --benchmark-disable \
     benchmarks/bench_sentinel.py
 test -s benchmarks/BENCH_pr7.json
 
-echo "== pushdown: chain-fusion battery (pytest -m pushdown) =="
-python -m pytest -q -p no:randomly -m pushdown tests
-
-echo "== pushdown: fused vs unfused CLI artifacts are byte-identical =="
-PUSHDOWN_DIR="$(mktemp -d)"
-trap 'rm -rf "$FSCK_DIR" "$SENTINEL_DIR" "$PUSHDOWN_DIR"' EXIT
-python - "$PUSHDOWN_DIR" <<'EOF2'
+echo "== query: cached vs --no-cache CLI artifacts are byte-identical =="
+WORKFLOW_DIR="$(mktemp -d)"
+trap 'rm -rf "$FSCK_DIR" "$SENTINEL_DIR" "$WORKFLOW_DIR"' EXIT
+python - "$WORKFLOW_DIR" <<'EOF2'
 import sys, pathlib
 from repro.workloads.beffio import generate_campaign
 from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
@@ -129,14 +126,14 @@ results.mkdir()
 for fname, content in generate_campaign(repetitions=2):
     (results / fname).write_text(content)
 EOF2
-perfbase setup -d "$PUSHDOWN_DIR/experiment.xml" --dbdir "$PUSHDOWN_DIR/db"
-perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
-    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/results/*
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    -o "$PUSHDOWN_DIR/fused" --dbdir "$PUSHDOWN_DIR/db"
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    --no-pushdown -o "$PUSHDOWN_DIR/plain" --dbdir "$PUSHDOWN_DIR/db"
-diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/plain"
+perfbase setup -d "$WORKFLOW_DIR/experiment.xml" --dbdir "$WORKFLOW_DIR/db"
+perfbase input -e b_eff_io -d "$WORKFLOW_DIR/input.xml" \
+    --dbdir "$WORKFLOW_DIR/db" "$WORKFLOW_DIR"/results/*
+perfbase query -e b_eff_io -q "$WORKFLOW_DIR/fig8.xml" \
+    -o "$WORKFLOW_DIR/cached" --dbdir "$WORKFLOW_DIR/db"
+perfbase query -e b_eff_io -q "$WORKFLOW_DIR/fig8.xml" --no-cache \
+    -o "$WORKFLOW_DIR/uncached" --dbdir "$WORKFLOW_DIR/db"
+diff -r "$WORKFLOW_DIR/cached" "$WORKFLOW_DIR/uncached"
 
 echo "== workflow without scipy/networkx: same artifacts as unblocked =="
 # every process of the workflow runs with a meta-path finder that
@@ -154,19 +151,14 @@ sys.exit(main(sys.argv[1:]))" "$@"
 for run in nodeps plain; do
     cmd=perfbase
     test "$run" = nodeps && cmd=perfbase_nodeps
-    $cmd setup -d "$PUSHDOWN_DIR/experiment.xml" \
-        --dbdir "$PUSHDOWN_DIR/db-$run"
-    $cmd input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
-        --dbdir "$PUSHDOWN_DIR/db-$run" "$PUSHDOWN_DIR"/results/*
-    $cmd query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" \
-        -o "$PUSHDOWN_DIR/out-$run" --dbdir "$PUSHDOWN_DIR/db-$run"
+    $cmd setup -d "$WORKFLOW_DIR/experiment.xml" \
+        --dbdir "$WORKFLOW_DIR/db-$run"
+    $cmd input -e b_eff_io -d "$WORKFLOW_DIR/input.xml" \
+        --dbdir "$WORKFLOW_DIR/db-$run" "$WORKFLOW_DIR"/results/*
+    $cmd query -e b_eff_io -q "$WORKFLOW_DIR/fig8.xml" \
+        -o "$WORKFLOW_DIR/out-$run" --dbdir "$WORKFLOW_DIR/db-$run"
 done
-diff -r "$PUSHDOWN_DIR/out-nodeps" "$PUSHDOWN_DIR/out-plain"
-
-echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_pushdown.py
-test -s benchmarks/BENCH_pr8.json
+diff -r "$WORKFLOW_DIR/out-nodeps" "$WORKFLOW_DIR/out-plain"
 
 echo "== service: multi-tenant service battery (pytest -m service) =="
 python -m pytest -q -p no:randomly -m service tests

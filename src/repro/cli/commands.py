@@ -20,9 +20,8 @@ from ..xmlio import (experiment_to_xml, parse_experiment_xml,
                      parse_input_xml, parse_query_xml)
 from .common import (CommandError, add_cache_arguments,
                      add_dbdir_argument, add_experiment_argument,
-                     add_obs_arguments, add_pushdown_arguments, echo,
-                     obs_session, open_experiment, open_server,
-                     resolve_cli_cache, resolve_cli_pushdown)
+                     add_obs_arguments, echo, obs_session,
+                     open_experiment, open_server, resolve_cli_cache)
 
 __all__ = ["register_all"]
 
@@ -122,7 +121,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     exp = open_experiment(args)
     query = parse_query_xml(args.query)
     qcache = resolve_cli_cache(args, exp)
-    pushdown = resolve_cli_pushdown(args)
     with obs_session(args):
         if args.parallel > 1:
             from ..parallel import (ParallelQueryExecutor,
@@ -131,8 +129,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             executor = ParallelQueryExecutor(cluster)
             result, stats = executor.execute(query, exp,
                                              profile=args.profile,
-                                             cache=qcache,
-                                             pushdown=pushdown)
+                                             cache=qcache)
             echo(f"parallel execution on {stats.n_nodes} nodes: "
                  f"{stats.wall_seconds * 1e3:.1f} ms wall, "
                  f"{stats.transfers} transfers, "
@@ -140,7 +137,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             cluster.shutdown()
         else:
             result = query.execute(exp, profile=args.profile,
-                                   cache=qcache, pushdown=pushdown)
+                                   cache=qcache)
     if qcache is not None:
         session = qcache.session
         echo(f"query cache: {session['hits']} hit(s), "
@@ -162,21 +159,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     exp = open_experiment(args)
     query = parse_query_xml(args.query)
     qcache = resolve_cli_cache(args, exp)
-    # the simulation needs a timing per element, so the profiling run
-    # always uses the unfused temp-table protocol
     with obs_session(args):
         result = query.execute(exp, profile=True, cache=qcache)
     node_counts = [int(n) for n in (args.nodes or "1 2 4 8").split()]
     echo(f"query {query.name!r}: {len(query.elements)} elements, "
          f"DAG width {query.graph.width()}")
-    if resolve_cli_pushdown(args):
-        plan = query.pushdown_plan()
-        if plan.groups:
-            echo("pushdown: {} fused chain(s) would save {} "
-                 "statement(s): {}".format(
-                     len(plan.groups), plan.statements_saved,
-                     "; ".join(plan.label(t)
-                               for t in sorted(plan.groups))))
     echo(f"{'nodes':>6} {'makespan [ms]':>14} {'speedup':>8} "
          f"{'efficiency':>11} {'transfers':>10}")
     for n, sim in speedup_curve(query.graph, result.profile,
@@ -200,7 +187,6 @@ def _register_query(sub) -> None:
     p.add_argument("--parallel", type=int, default=1, metavar="N",
                    help="execute on a simulated N-node cluster")
     add_cache_arguments(p)
-    add_pushdown_arguments(p)
     add_obs_arguments(p)
     add_dbdir_argument(p)
     p.set_defaults(func=cmd_query)
@@ -215,7 +201,6 @@ def _register_query(sub) -> None:
                    help="node counts to simulate "
                         "(space-separated, default '1 2 4 8')")
     add_cache_arguments(p)
-    add_pushdown_arguments(p)
     add_obs_arguments(p)
     add_dbdir_argument(p)
     p.set_defaults(func=cmd_simulate)
@@ -790,9 +775,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                            on_error="skip" if args.lax else "raise")
         for problem in trace.errors:
             echo(f"warning: skipped {problem}")
-    fused = (query.pushdown_plan() if resolve_cli_pushdown(args)
-             else None)
-    echo(explain(query, trace, fused=fused), end="")
+    echo(explain(query, trace), end="")
     return 0
 
 
@@ -838,7 +821,6 @@ def _register_obs(sub) -> None:
                    help="JSON-lines trace to annotate the plan with")
     p.add_argument("--lax", action="store_true",
                    help="skip malformed trace lines instead of failing")
-    add_pushdown_arguments(p)
     add_dbdir_argument(p)
     p.set_defaults(func=cmd_explain)
 

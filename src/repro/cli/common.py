@@ -11,10 +11,8 @@ from ..core.experiment import Experiment
 from ..db import BACKENDS, DatabaseServer, server_for_backend
 
 __all__ = ["add_dbdir_argument", "add_obs_arguments",
-           "add_cache_arguments", "resolve_cli_cache",
-           "add_pushdown_arguments", "resolve_cli_pushdown",
-           "open_server", "open_experiment", "obs_session",
-           "CommandError"]
+           "add_cache_arguments", "resolve_cli_cache", "open_server",
+           "open_experiment", "obs_session", "CommandError"]
 
 #: default database directory, overridable via environment (mirrors the
 #: paper's "personal database server on his local workstation")
@@ -93,27 +91,6 @@ def resolve_cli_cache(args: argparse.Namespace, experiment: Experiment):
         return experiment.query_cache(
             budget_bytes=budget * 1024 * 1024)
     return experiment.query_cache()
-
-
-# -- SQL pushdown ------------------------------------------------------------
-
-
-def add_pushdown_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the chain-fusion escape hatch of query-running commands.
-
-    The CLI fuses by default — pushdown is the cold-path speedup, and
-    with the (default) query cache active it is inert anyway, so the
-    flag only matters together with ``--no-cache``.
-    """
-    parser.add_argument(
-        "--no-pushdown", action="store_true",
-        help="disable SQL pushdown (materialise every element through "
-             "its own temp table instead of fusing linear chains)")
-
-
-def resolve_cli_pushdown(args: argparse.Namespace) -> bool:
-    """``pushdown=`` argument for the execution entry points."""
-    return not getattr(args, "no_pushdown", False)
 
 
 # -- observability -----------------------------------------------------------

@@ -105,23 +105,18 @@ class RunData:
 
         Returns the names of variables that ended up without content.
         """
-        missing: list[str] = []
+        missing = self.missing_content(variables,
+                                       use_defaults=use_defaults)
         for var in variables:
             if var.occurrence is Occurrence.ONCE:
                 if var.name in self.once:
                     self.once[var.name] = var.coerce(self.once[var.name])
                 elif use_defaults and var.default is not None:
                     self.once[var.name] = var.default
-                else:
-                    missing.append(var.name)
-            else:
-                present = any(var.name in ds for ds in self.datasets)
-                if not present:
-                    if use_defaults and var.default is not None:
-                        for ds in self.datasets:
-                            ds[var.name] = var.default
-                    else:
-                        missing.append(var.name)
+            elif (use_defaults and var.default is not None
+                  and not any(var.name in ds for ds in self.datasets)):
+                for ds in self.datasets:
+                    ds[var.name] = var.default
         for ds in self.datasets:
             for name in list(ds):
                 var = variables[name]
@@ -142,6 +137,18 @@ class RunData:
                 "input provides no content for variables: "
                 + ", ".join(sorted(missing)))
         return missing
+
+    def missing_content(self, variables: VariableSet, *,
+                        use_defaults: bool = True) -> list[str]:
+        """Names of the variables this run provides no content for and
+        that no default fills — what :meth:`validate` reports.  The
+        answer is the same before and after validation."""
+        return [var.name for var in variables
+                if not (use_defaults and var.default is not None)
+                and not (var.name in self.once
+                         if var.occurrence is Occurrence.ONCE
+                         else any(var.name in ds
+                                  for ds in self.datasets))]
 
     def __len__(self) -> int:
         return len(self.datasets)

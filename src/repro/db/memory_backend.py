@@ -586,10 +586,9 @@ class _Select:
     def __init__(self, distinct, items, sources, joins, where, group,
                  order, limit):
         self.distinct = distinct
-        self.items = items              # [("star", alias|None)
-        #                                  | ("expr", ast, alias|None)]
-        self.sources = sources          # [(table|select_ast, alias)]
-        self.joins = joins              # [(table|select_ast, alias, on_expr)]
+        self.items = items              # [("star", alias|None) | ("expr", ast)]
+        self.sources = sources          # [(table, alias)] (first FROM entry)
+        self.joins = joins              # [(table, alias, on_expr)]
         self.where = where
         self.group = group              # [ast]
         self.order = order              # [(ast, desc)]
@@ -882,10 +881,7 @@ class _Parser:
                     if not starred:
                         self.pos = checkpoint
                 if not starred:
-                    ast = self.expr()
-                    alias = self.ident() if self.accept_kw("AS") \
-                        else None
-                    items.append(("expr", ast, alias))
+                    items.append(("expr", self.expr()))
             if not self.accept_op(","):
                 break
         sources: list[tuple[str, str | None]] = []
@@ -929,20 +925,13 @@ class _Parser:
                        order, limit)
 
     def table_ref(self):
-        if self.peek() == ("op", "("):
-            self.pos += 1
-            table: Any = self.select_compound()
-            self.expect_op(")")
-        else:
-            table = self.ident()
+        table = self.ident()
         alias = None
         kind, value = self.peek()
         if kind == "id" and value.upper() not in _RESERVED_ALIAS:
             alias = self.advance()[1]
         elif self.accept_kw("AS"):
             alias = self.ident()
-        if not isinstance(table, str) and alias is None:
-            raise DatabaseError("derived table requires an alias")
         return table, alias
 
     # -- expressions ------------------------------------------------------
@@ -1920,60 +1909,23 @@ class MemoryDatabase(Database):
         rows = self._exec_select(ast, params)
         return rows[0][0] if rows else None
 
-    def _resolve_source(self, ref, alias, params,
-                        resolved: dict | None = None) -> _Table:
-        """A FROM/JOIN entry: a named table, or a derived table
-        (subquery) materialised into an anonymous :class:`_Table`
-        with rowids 1..n and no affinity conversion.
-
-        ``resolved`` memoises derived tables by AST identity for the
-        duration of one statement evaluation, so the fast path trying a
-        statement and then handing it to the generic interpreter never
-        evaluates a subquery twice."""
-        if isinstance(ref, str):
-            return self._table(ref, "select")
-        if resolved is not None and id(ref) in resolved:
-            return resolved[id(ref)]
-        names = _derived_names(ref)
-        rows = self._exec_select(ref, params)
-        table = _Table(alias or "", [(n, "") for n in names],
-                       None, True)
-        for j, name in enumerate(names):
-            table.cols[name] = [row[j] for row in rows]
-        table.rowids = list(range(1, len(rows) + 1))
-        table.next_rowid = len(rows) + 1
-        if resolved is not None:
-            resolved[id(ref)] = table
-        return table
-
-    def _fast_select(self, stmt: _Select, params,
-                     resolved: dict | None = None):
+    def _fast_select(self, stmt: _Select, params):
         """Vectorised evaluation of the hot statement shapes: a single
-        table (named or derived), plain column / constant /
-        ``agg(column)`` select items, a conjunction of single-column
-        predicates, and optional GROUP BY over plain columns.  Works
-        directly on the column lists — no per-row tuple
-        materialisation, no compiled closure tree.  Returns ``None``
-        when the statement needs the generic interpreter; results are
-        identical either way (the battery in tests/diffdb pins this
-        against both paths and SQLite).
-
-        Derived tables — the shape fused pushdown statements nest —
-        are resolved through the shared ``resolved`` memo, so a late
-        ``return None`` costs nothing: the generic path reuses the
-        already-evaluated subquery.
+        table, plain column / constant / ``agg(column)`` select items,
+        a conjunction of single-column predicates, and optional GROUP
+        BY over plain columns.  Works directly on the column lists —
+        no per-row tuple materialisation, no compiled closure tree.
+        Returns ``None`` when the statement needs the generic
+        interpreter; results are identical either way (the battery in
+        tests/diffdb pins this against both paths and SQLite).
         """
         if (stmt.joins or stmt.distinct or stmt.limit is not None
                 or len(stmt.sources) != 1):
             return None
-        ref, alias = stmt.sources[0]
-        if isinstance(ref, str):
-            table = self._tables.get(ref)
-            if table is None:    # let the generic path raise
-                return None
-        else:
-            table = self._resolve_source(ref, alias, params, resolved)
-        names = (alias, table.name)
+        table = self._tables.get(stmt.sources[0][0])
+        if table is None:        # let the generic path raise
+            return None
+        names = (stmt.sources[0][1], table.name)
 
         def column_of(node):
             """Plain column reference -> its value list, else None."""
@@ -2237,18 +2189,14 @@ class MemoryDatabase(Database):
                 out.extend(self._exec_select(select, params))
             return out
 
-        resolved: dict = {}
-        fast = self._fast_select(stmt, params, resolved)
+        fast = self._fast_select(stmt, params)
         if fast is not None:
             return fast
 
-        sources = [(self._resolve_source(ref, alias, params, resolved),
-                    alias)
-                   for ref, alias in stmt.sources]
-        join_tables = [(self._resolve_source(ref, alias, params,
-                                             resolved),
-                        alias, on)
-                       for ref, alias, on in stmt.joins]
+        sources = [(self._table(name, "select"), alias)
+                   for name, alias in stmt.sources]
+        join_tables = [(self._table(name, "select"), alias, on)
+                       for name, alias, on in stmt.joins]
         all_sources = sources + [(t, a) for t, a, _ in join_tables]
 
         # -- flat row layout: per table, its columns then its rowid ----
@@ -2510,27 +2458,6 @@ def _equality_pairs(on, consumed, table, alias):
         return False
 
     return pairs if walk(on) else None
-
-
-def _derived_names(stmt) -> list[str]:
-    """Output column names of a derived-table subquery: the item
-    alias, else a plain column reference's name, else a positional
-    placeholder (unreferenceable, like SQLite's expression names)."""
-    if isinstance(stmt, _Compound):
-        return _derived_names(stmt.selects[0])
-    names: list[str] = []
-    for item in stmt.items:
-        if item[0] == "star":
-            raise DatabaseError(
-                "SELECT * inside a derived table is unsupported")
-        ast, alias = item[1], item[2]
-        if alias is not None:
-            names.append(alias)
-        elif ast[0] == "col":
-            names.append(ast[2])
-        else:
-            names.append(f"__c{len(names)}")
-    return names
 
 
 def _order_rows(rows, order_fns, env):

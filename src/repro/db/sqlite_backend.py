@@ -320,12 +320,18 @@ class SQLiteDatabase(Database):
         sqlite3's implicit transaction handling only BEGINs before DML,
         so DDL issued early in a batch (per-run table creation) would
         otherwise autocommit and escape a later rollback.
+
+        The transaction takes the write lock up front (``IMMEDIATE``):
+        a deferred one that reads and then writes can deadlock against
+        another writer on the lock upgrade, and SQLite reports that as
+        "database is locked" at once, without waiting out the busy
+        timeout.
         """
         with self._lock:
             if not self._conn.in_transaction:
                 try:
-                    self._conn.execute("BEGIN")
-                except sqlite3.Error as exc:  # pragma: no cover
+                    self._conn.execute("BEGIN IMMEDIATE")
+                except sqlite3.Error as exc:
                     raise DatabaseError(str(exc)) from exc
 
     def rollback(self) -> None:

@@ -161,7 +161,7 @@ def _describe(element) -> str:
     return f"[{kind}]"
 
 
-def explain(query, trace=None, fused=None) -> str:
+def explain(query, trace=None) -> str:
     """Render ``query``'s element DAG as an ASCII plan.
 
     ``trace`` — a :class:`~repro.obs.sinks.TraceData` or a plain span
@@ -169,13 +169,6 @@ def explain(query, trace=None, fused=None) -> str:
     measured numbers of :func:`collect_element_stats`, the header gains
     trace totals (including the Section 4.3 source fraction), and
     element spans that match no plan node are listed at the end.
-
-    ``fused`` — a pushdown plan (duck-typed: ``groups``, ``member_of``,
-    ``label(tail)``, ``statements_saved``; see
-    :class:`repro.query.pushdown.PushdownPlan`, passed in by the caller
-    so this module keeps no import edge to the query layer) — annotates
-    each fused chain's tail with ``FUSED[a→b→c]`` and its absorbed
-    members with the tail that subsumes their materialisation.
 
     The plain form depends only on the query specification, so its
     output is byte-for-byte deterministic (golden-file testable).
@@ -207,25 +200,12 @@ def explain(query, trace=None, fused=None) -> str:
                 sum(s.calls for s in stats.values()),
                 profile.total_seconds * 1e3,
                 100 * profile.source_fraction()))
-    if fused is not None:
-        groups = fused.groups
-        if groups:
-            lines.append(
-                "pushdown: {} fused chain(s), {} statement(s) saved"
-                .format(len(groups), fused.statements_saved))
-        else:
-            lines.append("pushdown: no fusable chains")
 
     expanded: set[str] = set()
 
     def describe_line(name: str) -> str:
         element = graph.elements[name]
         text = f"{name} {_describe(element)} (level {levels[name]})"
-        if fused is not None:
-            if name in fused.groups:
-                text += "  " + fused.label(name)
-            elif name in fused.member_of:
-                text += f"  (fused into {fused.member_of[name]})"
         if stats is not None:
             st = stats.get(name)
             text += ("  " + st.annotation() if st is not None

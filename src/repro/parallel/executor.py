@@ -31,7 +31,6 @@ from ..query.cache import (CacheEntry, QueryCache, cache_key,
                            content_fingerprint)
 from ..query.elements import QueryContext
 from ..query.engine import Query, QueryResult, resolve_cache
-from ..query.pushdown import run_fused_group
 from ..query.vectors import DataVector
 from .cluster import SimulatedCluster, copy_vector
 from .profiling import QueryProfile
@@ -83,8 +82,7 @@ class ParallelQueryExecutor:
 
     def execute(self, query: Query, experiment: Experiment, *,
                 profile: bool = False,
-                cache: "QueryCache | bool | None" = None,
-                pushdown: bool = False
+                cache: "QueryCache | bool | None" = None
                 ) -> tuple[QueryResult, ParallelRunStats]:
         """Execute ``query``; returns the result plus run statistics.
 
@@ -95,13 +93,6 @@ class ParallelQueryExecutor:
         just before executing (so after an import, elements whose
         inputs turn out content-identical still hit) and store every
         miss back into the shared cache.
-
-        ``pushdown`` fuses linear element chains into single SQL
-        statements (:mod:`repro.query.pushdown`): each fused group is
-        scheduled as one unit placed on its tail element's node, where
-        the single statement runs against the shipped external inputs.
-        Inert with an active cache (every cacheable element is a
-        hit/miss seam, so the plan fuses nothing).
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
@@ -147,19 +138,9 @@ class ParallelQueryExecutor:
                     plan[name] = "skip"
                     skipped.add(name)
 
-        # -- pushdown plan: absorbed members never get scheduled -------
-        pd_plan = None
-        if pushdown and qcache is None:
-            pd_plan = query.pushdown_plan()
-            if not pd_plan.groups:
-                pd_plan = None
-        absorbed = (frozenset(n for n in pd_plan.member_of
-                              if pd_plan.absorbed(n))
-                    if pd_plan is not None else frozenset())
-
         placement = self.scheduler.place(
             graph, len(self.cluster),
-            skip=frozenset(resolved) | skipped | absorbed)
+            skip=frozenset(resolved) | skipped)
         prof = QueryProfile(query_name=query.name) if profile else None
         stats = ParallelRunStats(n_nodes=len(self.cluster),
                                  scheduler=self.scheduler.name,
@@ -184,17 +165,7 @@ class ParallelQueryExecutor:
 
         remaining = {name: set(element.inputs) - set(resolved) - skipped
                      for name, element in graph.elements.items()
-                     if name not in resolved and name not in skipped
-                     and name not in absorbed}
-        if pd_plan is not None:
-            # a fused group becomes runnable when the inputs arriving
-            # from OUTSIDE the group are done (interior edges are
-            # subsumed by the single statement)
-            for tail, members in pd_plan.groups.items():
-                remaining[tail] = {
-                    i for m in members
-                    for i in graph.elements[m].inputs
-                    if i not in members}
+                     if name not in resolved and name not in skipped}
         done: set[str] = set()
         running: dict[Future, str] = {}
         errors: list[BaseException] = []
@@ -271,24 +242,6 @@ class ParallelQueryExecutor:
                     f"node{node.index}", kind="node", element=name)
                     if tracer is not None else nullcontext())
                 with node_cm:
-                    if pd_plan is not None and name in pd_plan.groups:
-                        # ship the group's external inputs, then run
-                        # the whole chain as one statement on this node
-                        members = pd_plan.groups[name]
-                        for input_name in sorted(
-                                {i for m in members
-                                 for i in graph.elements[m].inputs
-                                 if i not in members}):
-                            ctx.vectors[input_name] = copy_vector(
-                                vectors[input_name], node, self.cluster,
-                                apply_delay=self.apply_network_delay)
-                        start = time.perf_counter()
-                        vector = run_fused_group(ctx, graph, pd_plan,
-                                                 name)
-                        busy[0] += time.perf_counter() - start
-                        if vector is not None:
-                            vectors[name] = vector
-                        return
                     # ship inputs to this node (Fig. 3 data movement)
                     for input_name in element.inputs:
                         ctx.vectors[input_name] = copy_vector(

@@ -109,11 +109,16 @@ class Importer:
         use_defaults = self.missing is not MissingPolicy.EMPTY
         tracer = current_tracer()
         try:
-            missing = run.validate(
-                self.experiment.variables,
-                require_all=self.missing in (MissingPolicy.DISCARD,
-                                             MissingPolicy.REJECT),
-                use_defaults=use_defaults)
+            with maybe_span("store_run", kind="import.run",
+                            datasets=len(run.datasets)) as span:
+                index = self.experiment.store_run(
+                    run,
+                    require_all=self.missing in (MissingPolicy.DISCARD,
+                                                 MissingPolicy.REJECT),
+                    use_defaults=use_defaults)
+                if span is not None:
+                    span.attributes["run_index"] = index
+                    span.attributes["rows"] = len(run.datasets)
         except InputError:
             if self.missing is MissingPolicy.DISCARD:
                 report.discarded += 1
@@ -122,13 +127,8 @@ class Importer:
                         "import.runs_discarded").inc()
                 return
             raise
-        with maybe_span("store_run", kind="import.run",
-                        datasets=len(run.datasets)) as span:
-            index = self.experiment.store_run(run,
-                                              use_defaults=use_defaults)
-            if span is not None:
-                span.attributes["run_index"] = index
-                span.attributes["rows"] = len(run.datasets)
+        missing = run.missing_content(self.experiment.variables,
+                                      use_defaults=use_defaults)
         report.run_indices.append(index)
         if missing:
             report.missing[index] = missing

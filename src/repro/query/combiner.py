@@ -20,7 +20,6 @@ from typing import Sequence
 from ..core.datatypes import sql_type
 from ..db.backend import quote_identifier
 from .elements import QueryContext, QueryElement
-from .pushdown import SelectFragment, fuse_join
 from .vectors import ColumnInfo, DataVector
 
 __all__ = ["Combiner"]
@@ -44,38 +43,29 @@ class Combiner(QueryElement):
         spec["producer_names"] = list(self.inputs)
         return spec
 
-    def _merge_columns(self, left, right) -> tuple[
-            list[str], list[ColumnInfo], list[str]]:
-        """Section 3.3.3 merge shape over two vector-like inputs
-        (:class:`DataVector` or pushdown ``SelectFragment``): returns
-        ``(shared, out_cols, sel)`` where ``shared`` are the join
-        parameter names and ``sel`` renders one aliased select item
-        (over operands ``a``/``b``) per output column, in lockstep
-        with ``out_cols``."""
+    def run(self, ctx: QueryContext) -> DataVector:
+        self._require_inputs(2, 2)
+        left, right = self.input_vectors(ctx)
+
         shared = [p.name for p in left.parameters
                   if right.has_column(p.name)
                   and not right.column(p.name).is_result]
 
         out_cols: list[ColumnInfo] = list(left.parameters)
-        sel: list[str] = [
-            f"a.{quote_identifier(p.name)} AS {quote_identifier(p.name)}"
-            for p in left.parameters]
+        sel: list[str] = [f"a.{quote_identifier(p.name)}"
+                          for p in left.parameters]
         taken = {c.name for c in out_cols}
         for p in right.parameters:
-            if p.name in taken:
-                if not self.keep_duplicate_parameters:
-                    continue
-                original = p.name
+            column = f"b.{quote_identifier(p.name)}"
+            if p.name not in taken:
+                taken.add(p.name)
+            elif self.keep_duplicate_parameters:
                 p = p.renamed(self._unique(
                     p.name, right.producer or "b", taken))
-                out_cols.append(p)
-                sel.append(f"b.{quote_identifier(original)} "
-                           f"AS {quote_identifier(p.name)}")
             else:
-                out_cols.append(p)
-                taken.add(p.name)
-                sel.append(f"b.{quote_identifier(p.name)} "
-                           f"AS {quote_identifier(p.name)}")
+                continue
+            out_cols.append(p)
+            sel.append(column)
 
         for alias, vector in (("a", left), ("b", right)):
             for c in vector.results:
@@ -86,14 +76,8 @@ class Combiner(QueryElement):
                 else:
                     taken.add(c.name)
                 out_cols.append(c)
-                sel.append(f"{alias}.{quote_identifier(original)} "
-                           f"AS {quote_identifier(c.name)}")
-        return shared, out_cols, sel
+                sel.append(f"{alias}.{quote_identifier(original)}")
 
-    def run(self, ctx: QueryContext) -> DataVector:
-        self._require_inputs(2, 2)
-        left, right = self.input_vectors(ctx)
-        shared, out_cols, sel = self._merge_columns(left, right)
         table = ctx.temptables.new_table(
             self.name, [(c.name, sql_type(c.datatype)) for c in out_cols])
         lt = quote_identifier(left.table)
@@ -111,16 +95,6 @@ class Combiner(QueryElement):
             f"SELECT {', '.join(sel)} FROM {lt} a JOIN {rt} b ON {cond} "
             f"ORDER BY a.rowid, b.rowid")
         return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    # -- SQL pushdown ------------------------------------------------------
-
-    def can_fuse(self) -> bool:
-        return len(self.inputs) == 2
-
-    def fuse(self, ctx: QueryContext, inputs) -> "SelectFragment":
-        left, right = inputs
-        shared, out_cols, sel = self._merge_columns(left, right)
-        return fuse_join(left, right, sel, out_cols, shared, self.name)
 
     @staticmethod
     def _unique(name: str, producer: str, taken: set[str]) -> str:

@@ -79,27 +79,6 @@ class QueryElement(abc.ABC):
         """Produce this element's output vector (or, for output
         elements, a rendered artefact registered on the query)."""
 
-    # -- SQL pushdown ------------------------------------------------------
-
-    def can_fuse(self) -> bool:
-        """Whether :meth:`fuse` can express this element as a
-        composable SELECT.  The pushdown planner only absorbs such
-        elements into fused statements; everything else keeps the
-        paper's temp-table protocol.  Structural only — shape
-        problems discovered while fusing raise ``FusionError`` from
-        :meth:`fuse` instead, and the group falls back."""
-        return False
-
-    def fuse(self, ctx: QueryContext, inputs: Sequence[Any]
-             ) -> Any:
-        """Return this element's output as a ``SelectFragment`` over
-        the given input fragments instead of materialising it (see
-        :mod:`repro.query.pushdown`)."""
-        from .pushdown import FusionError
-        raise FusionError(
-            f"{self.kind} element {self.name!r} cannot join a fused "
-            "statement")
-
     # -- fingerprinting ----------------------------------------------------
 
     def spec(self) -> dict[str, Any]:

@@ -29,8 +29,6 @@ from ..output.base import Artifact
 from .cache import CacheEntry, QueryCache, cache_key, content_fingerprint
 from .elements import QueryContext, QueryElement
 from .graph import QueryGraph
-from .pushdown import (PushdownPlan, cache_boundaries, plan_pushdown,
-                       run_fused_group)
 from .vectors import DataVector
 
 __all__ = ["Query", "QueryResult", "resolve_cache"]
@@ -90,8 +88,7 @@ class Query:
     def execute(self, experiment: Experiment, *,
                 profile: bool = False,
                 keep_temp_tables: bool = False,
-                cache: "QueryCache | bool | None" = None,
-                pushdown: bool = False) -> QueryResult:
+                cache: "QueryCache | bool | None" = None) -> QueryResult:
         """Run the query serially against ``experiment``.
 
         The acting user needs query access.  Temp tables are dropped on
@@ -104,14 +101,6 @@ class Query:
         persistent ``pbc_`` tables of the experiment database, so they
         survive this process and stay readable after temp-table
         cleanup.  Warm results are value-identical to cold ones.
-
-        ``pushdown`` turns on SQL chain fusion
-        (:mod:`repro.query.pushdown`): maximal linear element chains
-        run as one nested-subquery statement, materialised only at the
-        chain tail.  Results are byte-identical either way; absorbed
-        interior elements simply produce no intermediate vector.  With
-        an active cache every cacheable element is a hit/miss seam, so
-        pushdown fuses nothing — it is the cold-path optimisation.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {self.name!r}")
@@ -126,16 +115,9 @@ class Query:
             with maybe_span(self.name, kind="query", mode="serial",
                             elements=len(self.graph.elements)):
                 if qcache is None:
-                    plan = self.pushdown_plan() if pushdown else None
-                    if plan is not None and plan.groups:
-                        self._execute_fused(ctx, plan)
-                    else:
-                        for element in self.graph.topological_order():
-                            element.execute(ctx)
+                    for element in self.graph.topological_order():
+                        element.execute(ctx)
                 else:
-                    # under caching the pushdown plan is empty (every
-                    # cacheable element is a boundary) — run the
-                    # incremental engine unchanged
                     self._execute_cached(ctx, qcache, experiment)
             for output in self.graph.outputs:
                 result.artifacts.extend(output.artifacts)
@@ -144,28 +126,6 @@ class Query:
             if not keep_temp_tables:
                 temptables.drop_all()
         return result
-
-    # -- SQL pushdown --------------------------------------------------------
-
-    def pushdown_plan(self, cache_active: bool = False) -> PushdownPlan:
-        """The chain-fusion plan of this query (see
-        :func:`repro.query.pushdown.plan_pushdown`).  With
-        ``cache_active`` every cacheable element becomes a boundary
-        and the plan fuses nothing."""
-        boundaries = (cache_boundaries(self.graph) if cache_active
-                      else frozenset())
-        return plan_pushdown(self.graph, boundaries)
-
-    def _execute_fused(self, ctx: QueryContext,
-                       plan: PushdownPlan) -> None:
-        for element in self.graph.topological_order():
-            name = element.name
-            if plan.absorbed(name):
-                continue  # materialised by its group's tail
-            if name in plan.groups:
-                run_fused_group(ctx, self.graph, plan, name)
-            else:
-                element.execute(ctx)
 
     # -- incremental execution ---------------------------------------------
 

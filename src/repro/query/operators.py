@@ -43,8 +43,6 @@ from ..core.units import DIMENSIONLESS, Unit
 from ..db.backend import quote_identifier
 from ..expr import Expression
 from .elements import QueryContext, QueryElement
-from .pushdown import (FusionError, SelectFragment, _count, fuse_join,
-                       materialise, vector_fragment)
 from .vectors import ColumnInfo, DataVector
 
 __all__ = ["Operator", "STATISTICAL", "REDUCTIONS", "ARITHMETIC",
@@ -557,50 +555,37 @@ class Operator(QueryElement):
             self.name, [(c.name, sql_type(c.datatype))
                         for c in out_cols])
         src = quote_identifier(vector.table)
-        # deterministic "first" row: parameters, then rowid — not the
-        # bare insertion order, which a fused subquery cannot reproduce
+        # deterministic "first" row: parameters, then rowid
         order = ", ".join(
             [quote_identifier(p.name) for p in vector.parameters]
             + ["rowid"])
         sel = [quote_identifier(p.name) for p in vector.parameters]
         denoms: list[float] = []
         for c in results:
-            denoms.append(self.norm_denominator(
-                ctx.db, c.name, quote_identifier(c.name),
-                f"FROM {src}", f"ORDER BY {order}"))
-            sel.append(f"(CAST({quote_identifier(c.name)} AS REAL) "
-                       "/ ?)")
+            col = quote_identifier(c.name)
+            if self.mode == "first":
+                sql = f"SELECT {col} FROM {src} ORDER BY {order} LIMIT 1"
+            else:
+                agg = {"max": "MAX", "min": "MIN",
+                       "sum": "SUM"}[self.mode]
+                sql = f"SELECT {agg}({col}) FROM {src}"
+            # computed eagerly so that a zero or NULL divisor (SQLite
+            # maps division by zero to NULL) raises here instead of
+            # silently filling the output vector with NULL rows
+            row = ctx.db.fetchone(sql)
+            value = row[0] if row else None
+            if value is None or float(value) == 0.0:
+                raise QueryError(
+                    f"operator {self.name!r}: cannot normalise column "
+                    f"{c.name!r} by {self.mode}: denominator is "
+                    + ("NULL" if value is None else "0"))
+            denoms.append(float(value))
+            sel.append(f"(CAST({col} AS REAL) / ?)")
         ctx.db.execute(
             f"INSERT INTO {quote_identifier(table)} "
             f"SELECT {', '.join(sel)} FROM {src} ORDER BY rowid",
             denoms)
         return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    def norm_denominator(self, db, column: str, column_sql: str,
-                         from_sql: str, order_sql: str,
-                         params: Sequence = ()) -> float:
-        """The normalisation divisor of one column, computed eagerly.
-
-        Eager evaluation is what lets a zero or NULL divisor (SQLite
-        maps division by zero to NULL) raise here, naming element and
-        column, instead of silently filling the output vector with
-        NULL rows.  ``column_sql``/``from_sql``/``order_sql`` are
-        pre-rendered so the fused path can point at a subquery.
-        """
-        if self.mode == "first":
-            sql = (f"SELECT {column_sql} {from_sql} {order_sql} "
-                   "LIMIT 1")
-        else:
-            agg = {"max": "MAX", "min": "MIN", "sum": "SUM"}[self.mode]
-            sql = f"SELECT {agg}({column_sql}) {from_sql}"
-        row = db.fetchone(sql, params)
-        value = row[0] if row else None
-        if value is None or float(value) == 0.0:
-            raise QueryError(
-                f"operator {self.name!r}: cannot normalise column "
-                f"{column!r} by {self.mode}: denominator is "
-                + ("NULL" if value is None else "0"))
-        return float(value)
 
     def _convert(self, ctx: QueryContext,
                  vector: DataVector) -> DataVector:
@@ -637,216 +622,6 @@ class Operator(QueryElement):
             f"SELECT {', '.join(sel)} "
             f"FROM {quote_identifier(vector.table)} ORDER BY rowid")
         return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    # -- SQL pushdown ------------------------------------------------------
-
-    def can_fuse(self) -> bool:
-        """SQL-expressible operator shapes: everything the SQL engine
-        already handles except expression evaluation (``eval`` and
-        ``filter`` run in numpy) and the multi-input element-wise
-        mode (Python)."""
-        if not self.use_sql or self.op in ("eval", "filter"):
-            return False
-        if self.op in TWO_VECTOR:
-            return len(self.inputs) == 2
-        return len(self.inputs) == 1
-
-    def fuse(self, ctx: QueryContext,
-             inputs: Sequence[SelectFragment]) -> SelectFragment:
-        frags = list(inputs)
-        if self.op in TWO_VECTOR:
-            return self._fuse_binary(frags[0], frags[1])
-        if self.op in ("scale", "offset"):
-            return self._fuse_linear(frags[0])
-        if self.op == "norm":
-            return self._fuse_norm(ctx, frags[0])
-        if self.op == "convert":
-            return self._fuse_convert(frags[0])
-        # statistical / reductions: same mode selection as run()
-        if frags[0].from_source:
-            return self._fuse_aggregate(frags[0])
-        return self._fuse_full_reduce(frags[0])
-
-    def _require_scan_ordered(self, frag: SelectFragment) -> None:
-        """Aggregates step their input in emission order, and float
-        aggregation (SUM/AVG/pb_stddev/...) is not associative — the
-        fused statement must therefore scan rows in exactly the rowid
-        order the unfused temp table would have, or the result can
-        differ in the last bits.  Fragments that only promise a
-        *sortable* order (joins) fall back to materialisation."""
-        if not frag.scan_ordered:
-            raise FusionError(
-                f"operator {self.name!r}: cannot fuse an "
-                "order-sensitive aggregate over a re-ordered input")
-
-    def _fuse_aggregate(self, frag: SelectFragment) -> SelectFragment:
-        self._require_scan_ordered(frag)
-        results = self._numeric_results(frag, f"operator {self.name!r}")
-        group = frag.parameters
-        out_cols = [*group, *(self._agg_column(c) for c in results)]
-        sel = [f"s.{quote_identifier(c.name)} "
-               f"AS {quote_identifier(c.name)}" for c in group]
-        sel += [_SQL_AGG[self.op].format(
-                    c=f"s.{quote_identifier(c.name)}")
-                + f" AS {quote_identifier(c.name)}" for c in results]
-        sql = (f"SELECT {', '.join(sel)} FROM ({frag.sql}) s")
-        if group:
-            sql += " GROUP BY " + ", ".join(
-                f"s.{quote_identifier(c.name)}" for c in group)
-        # group keys are unique, so they totally order the output; both
-        # backends also *emit* grouped rows in that order (a derived
-        # table has no index for SQLite to walk), hence scan_ordered
-        return SelectFragment(
-            sql, frag.params, tuple(out_cols),
-            tuple(c.name for c in group), (), from_source=False,
-            scan_ordered=True, ord_rowid=False, rescan_cheap=False,
-            producer=self.name)
-
-    def _fuse_full_reduce(self, frag: SelectFragment) -> SelectFragment:
-        self._require_scan_ordered(frag)
-        results = self._numeric_results(frag, f"operator {self.name!r}")
-        out_cols = [self._agg_column(c) for c in results]
-        sel = [_SQL_AGG[self.op].format(
-                   c=f"s.{quote_identifier(c.name)}")
-               + f" AS {quote_identifier(c.name)}" for c in results]
-        return SelectFragment(
-            f"SELECT {', '.join(sel)} FROM ({frag.sql}) s",
-            frag.params, tuple(out_cols), (), (), from_source=False,
-            scan_ordered=True, ord_rowid=False, rescan_cheap=False,
-            producer=self.name)
-
-    def _row_preserving(self, frag: SelectFragment, sel: list[str],
-                        out_cols: list[ColumnInfo],
-                        params: tuple | None = None) -> SelectFragment:
-        """Wrap a row-preserving select list over ``frag``: the hidden
-        order ordinals ride along (parameters are already projected by
-        name), so the input's ordering contract carries over as-is."""
-        sel = sel + [f"s.{quote_identifier(h)} AS {quote_identifier(h)}"
-                     for h in frag.hidden]
-        return SelectFragment(
-            f"SELECT {', '.join(sel)} FROM ({frag.sql}) s",
-            frag.params if params is None else params,
-            tuple(out_cols), frag.order_names, frag.hidden,
-            from_source=False, scan_ordered=frag.scan_ordered,
-            ord_rowid=frag.ord_rowid, rescan_cheap=frag.rescan_cheap,
-            producer=self.name)
-
-    def _fuse_linear(self, frag: SelectFragment) -> SelectFragment:
-        results = self._numeric_results(frag, f"operator {self.name!r}")
-        out_cols = list(frag.parameters) + [
-            ColumnInfo(c.name, DataType.FLOAT, c.unit,
-                       f"{self.op} of {c.synopsis or c.name}",
-                       is_result=True)
-            for c in results]
-        sel = [f"s.{quote_identifier(c.name)} "
-               f"AS {quote_identifier(c.name)}"
-               for c in frag.parameters]
-        for c in results:
-            col = f"s.{quote_identifier(c.name)}"
-            expr = (f"({col} * {self.factor})" if self.op == "scale"
-                    else f"({col} + {self.summand})")
-            sel.append(f"{expr} AS {quote_identifier(c.name)}")
-        return self._row_preserving(frag, sel, out_cols)
-
-    def _fuse_norm(self, ctx: QueryContext,
-                   frag: SelectFragment) -> SelectFragment:
-        if not frag.rescan_cheap:
-            # norm probes its input once per result column for the
-            # denominator and then again in the final INSERT; rather
-            # than re-running an aggregation/join fragment each time,
-            # pin it to a seam table once and normalise over the scan
-            frag = vector_fragment(materialise(ctx, frag, self))
-            _count("pushdown.seams")
-        if self.mode == "sum" and not frag.scan_ordered:
-            raise FusionError(
-                f"operator {self.name!r}: sum-normalisation over a "
-                "re-ordered input is order-sensitive")
-        results = self._numeric_results(frag, f"operator {self.name!r}")
-        out_cols = list(frag.parameters) + [
-            ColumnInfo(c.name, DataType.FLOAT, DIMENSIONLESS,
-                       f"{c.synopsis or c.name} (normalised to "
-                       f"{self.mode})", is_result=True)
-            for c in results]
-        order = ", ".join(
-            [f"s.{quote_identifier(p.name)}" for p in frag.parameters]
-            + [f"s.{quote_identifier(n)}" for n in frag.order_names])
-        sel = [f"s.{quote_identifier(p.name)} "
-               f"AS {quote_identifier(p.name)}"
-               for p in frag.parameters]
-        denoms: list[float] = []
-        for c in results:
-            denoms.append(self.norm_denominator(
-                ctx.db, c.name, f"s.{quote_identifier(c.name)}",
-                f"FROM ({frag.sql}) s",
-                f"ORDER BY {order}" if order else "", frag.params))
-            sel.append(f"(CAST(s.{quote_identifier(c.name)} AS REAL) "
-                       f"/ ?) AS {quote_identifier(c.name)}")
-        # the ?s in the select list come textually before the ones
-        # inside the FROM subquery — parameter order must match
-        return self._row_preserving(frag, sel, out_cols,
-                                    tuple(denoms) + frag.params)
-
-    def _fuse_convert(self, frag: SelectFragment) -> SelectFragment:
-        assert self.unit is not None
-        out_cols: list[ColumnInfo] = list(frag.parameters)
-        sel = [f"s.{quote_identifier(p.name)} "
-               f"AS {quote_identifier(p.name)}"
-               for p in frag.parameters]
-        converted = 0
-        for c in frag.results:
-            col = f"s.{quote_identifier(c.name)}"
-            if c.datatype.is_numeric and c.unit.is_compatible(
-                    self.unit):
-                factor = c.unit.conversion_factor(self.unit)
-                out_cols.append(ColumnInfo(
-                    c.name, DataType.FLOAT, self.unit, c.synopsis,
-                    is_result=True))
-                sel.append(f"({col} * {factor!r}) "
-                           f"AS {quote_identifier(c.name)}")
-                converted += 1
-            else:
-                out_cols.append(c)
-                sel.append(f"{col} AS {quote_identifier(c.name)}")
-        if not converted:
-            raise OperatorError(
-                f"operator {self.name!r}: no result column of "
-                f"{frag.producer!r} is compatible with unit "
-                f"{self.unit.symbol!r}")
-        return self._row_preserving(frag, sel, out_cols)
-
-    def _fuse_binary(self, left: SelectFragment,
-                     right: SelectFragment) -> SelectFragment:
-        lres = self._numeric_results(left, f"operator {self.name!r}")
-        rres = self._numeric_results(right, f"operator {self.name!r}")
-        n = min(len(lres), len(rres))
-        lres, rres = lres[:n], rres[:n]
-        common = [p.name for p in left.parameters
-                  if right.has_column(p.name)
-                  and not right.column(p.name).is_result]
-        if self.op == "diff":
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, lc.unit,
-                                  f"diff of {lc.synopsis or lc.name}",
-                                  is_result=True)
-        else:
-            unit = (_PERCENT_UNIT if self.op in
-                    ("percentof", "above", "below") else DIMENSIONLESS)
-
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, unit,
-                                  f"{self.op} of {lc.synopsis or lc.name}",
-                                  is_result=True)
-        out_cols = list(left.parameters) + [out_info(c) for c in lres]
-        items = [f"a.{quote_identifier(p.name)} "
-                 f"AS {quote_identifier(p.name)}"
-                 for p in left.parameters]
-        for lc, rc in zip(lres, rres):
-            expr = _SQL_BINARY[self.op].format(
-                a=f"a.{quote_identifier(lc.name)}",
-                b=f"b.{quote_identifier(rc.name)}")
-            items.append(f"{expr} AS {quote_identifier(lc.name)}")
-        return fuse_join(left, right, items, out_cols, common,
-                         self.name)
 
 
 # -- shared vector joining --------------------------------------------------

@@ -28,13 +28,7 @@ from ..core.variables import Occurrence
 from ..db.backend import quote_identifier
 from ..db.schema import _encode_value  # shared cell encoding
 from .elements import QueryContext, QueryElement
-from .pushdown import ORD_PREFIX, FusionError, SelectFragment
 from .vectors import ColumnInfo, DataVector
-
-#: SQLite's default ``SQLITE_MAX_COMPOUND_SELECT``: a compound SELECT
-#: with more operands fails to prepare, so a fused source over more
-#: runs falls back to the per-run INSERT..SELECT path
-MAX_COMPOUND_OPERANDS = 500
 
 __all__ = ["ParameterSpec", "RunFilter", "Source"]
 
@@ -162,8 +156,12 @@ class Source(QueryElement):
         return (f"{column} {sql_op} ?",
                 [_encode_value(spec.value, datatype)])
 
-    def _split_specs(self, variables):
-        """Partition parameter specs and results by occurrence."""
+    # -- execution ---------------------------------------------------------
+
+    def run(self, ctx: QueryContext) -> DataVector:
+        variables = ctx.experiment.variables
+        store = ctx.experiment.store
+
         once_specs: list[ParameterSpec] = []
         multi_specs: list[ParameterSpec] = []
         for spec in self.parameters:
@@ -176,16 +174,17 @@ class Source(QueryElement):
                 once_specs.append(spec)
             else:
                 multi_specs.append(spec)
+
         once_results = [variables[r] for r in self.results
                         if variables[r].occurrence is Occurrence.ONCE]
         multi_results = [variables[r] for r in self.results
                          if variables[r].occurrence is Occurrence.MULTIPLE]
-        return once_specs, multi_specs, once_results, multi_results
 
-    def _run_where(self, variables,
-                   once_specs) -> tuple[list[str], list[Any]]:
-        """WHERE clauses + params selecting the matching runs (over
-        aliases ``o`` = pb_once and ``r`` = pb_runs)."""
+        # --- select matching runs from the once-table -------------------
+        shown_once = [s for s in once_specs if s.show or not s.is_filter]
+        once_cols = ["o.run_index"] + [
+            f"o.{quote_identifier(s.name)}" for s in shown_once] + [
+            f"o.{quote_identifier(v.name)}" for v in once_results]
         where: list[str] = ["r.active = 1"]
         params: list[Any] = []
         for spec in once_specs:
@@ -200,28 +199,26 @@ class Source(QueryElement):
             if clause:
                 where.append(clause)
                 params.extend(p)
-        return where, params
-
-    def _matching_runs(self, store, variables, once_specs, shown_once,
-                       once_results):
-        """Fetch (run_index, shown-once values, once-result values)
-        for every matching run, in run_index order."""
-        once_cols = ["o.run_index"] + [
-            f"o.{quote_identifier(s.name)}" for s in shown_once] + [
-            f"o.{quote_identifier(v.name)}" for v in once_results]
-        where, params = self._run_where(variables, once_specs)
-        return store.db.fetchall(
+        run_rows = store.db.fetchall(
             f"SELECT {', '.join(once_cols)} FROM pb_once o "
             "JOIN pb_runs r ON r.run_index = o.run_index "
             f"WHERE {' AND '.join(where)} ORDER BY o.run_index",
             params)
 
-    def _dataset_where(self, variables, multi_specs,
-                       multi_results) -> tuple[str, list[Any]]:
-        """The per-run data-table WHERE clause (identical for every
-        run): data-set filters plus the guard skipping rows that
-        predate an added result variable (all-NULL in every requested
-        column)."""
+        # --- output vector layout ----------------------------------------
+        columns: list[ColumnInfo] = []
+        if self.include_run_index:
+            columns.append(ColumnInfo("run_index", DataType.INTEGER,
+                                      DIMENSIONLESS, "run index"))
+        for s in shown_once:
+            columns.append(ColumnInfo.from_variable(variables[s.name]))
+        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
+        for s in shown_multi:
+            columns.append(ColumnInfo.from_variable(variables[s.name]))
+        for v in once_results + multi_results:
+            columns.append(ColumnInfo.from_variable(v))
+
+        # --- per-run data-set filter (identical for every run) -----------
         dwhere: list[str] = []
         dparams: list[Any] = []
         for spec in multi_specs:
@@ -232,45 +229,14 @@ class Source(QueryElement):
                 dwhere.append(clause)
                 dparams.extend(p)
         if multi_results:
+            # runs predating an added result variable carry NULL in
+            # every requested column — skip those rows
             dwhere.append("NOT (" + " AND ".join(
                 f"{quote_identifier(v.name)} IS NULL"
                 for v in multi_results) + ")")
-        return ((" WHERE " + " AND ".join(dwhere)) if dwhere else "",
-                dparams)
-
-    def _vector_columns(self, variables, shown_once, shown_multi,
-                        once_results, multi_results):
-        """The output vector layout (also the insertion column order)."""
-        columns: list[ColumnInfo] = []
-        if self.include_run_index:
-            columns.append(ColumnInfo("run_index", DataType.INTEGER,
-                                      DIMENSIONLESS, "run index"))
-        for s in shown_once:
-            columns.append(ColumnInfo.from_variable(variables[s.name]))
-        for s in shown_multi:
-            columns.append(ColumnInfo.from_variable(variables[s.name]))
-        for v in once_results + multi_results:
-            columns.append(ColumnInfo.from_variable(v))
-        return columns
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self, ctx: QueryContext) -> DataVector:
-        variables = ctx.experiment.variables
-        store = ctx.experiment.store
-
-        (once_specs, multi_specs, once_results,
-         multi_results) = self._split_specs(variables)
-
-        # --- select matching runs from the once-table -------------------
-        shown_once = [s for s in once_specs if s.show or not s.is_filter]
-        run_rows = self._matching_runs(store, variables, once_specs,
-                                       shown_once, once_results)
-
-        # --- output vector layout ----------------------------------------
-        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
-        columns = self._vector_columns(variables, shown_once, shown_multi,
-                                       once_results, multi_results)
+        where_sql = " WHERE " + " AND ".join(dwhere) if dwhere else ""
+        needed = ([s.name for s in shown_multi]
+                  + [v.name for v in multi_results])
 
         from ..core.datatypes import sql_type
         table = ctx.temptables.new_table(
@@ -293,10 +259,6 @@ class Source(QueryElement):
 
         out_rows: list[list[Any]] = []
         col_names = [c.name for c in columns]
-        where_sql, dparams = self._dataset_where(variables, multi_specs,
-                                                 multi_results)
-        needed = ([s.name for s in shown_multi]
-                  + [v.name for v in multi_results])
         for run_row in run_rows:
             run_index = int(run_row[0])
             once_shown_vals = list(run_row[1:1 + len(shown_once)])
@@ -345,130 +307,3 @@ class Source(QueryElement):
             ctx.db.insert_rows(table, col_names, out_rows)
         return DataVector(ctx.db, table, columns, from_source=True,
                           producer=self.name)
-
-    # -- SQL pushdown ------------------------------------------------------
-
-    def can_fuse(self) -> bool:
-        return True
-
-    def fuse(self, ctx: QueryContext,
-             inputs: Sequence[Any]) -> SelectFragment:
-        """Express the retrieval itself as a composable SELECT.
-
-        The unfused :meth:`run` issues one INSERT..SELECT per matching
-        run — by far the largest statement count of any element, and
-        pure per-statement overhead on warm data.  Fused, a source with
-        per-data-set values becomes one UNION ALL of per-run operands
-        over the shared data tables (run-level values ride along as
-        bound constants), and a run-level-only source a single select
-        over the once table.  Hidden ordinals pin the (run, data set)
-        order, so a chain tail materialises rows in exactly the rowid
-        order the source temp table would have had.
-        """
-        variables = ctx.experiment.variables
-        store = ctx.experiment.store
-        (once_specs, multi_specs, once_results,
-         multi_results) = self._split_specs(variables)
-        shown_once = [s for s in once_specs if s.show or not s.is_filter]
-        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
-        columns = self._vector_columns(variables, shown_once, shown_multi,
-                                       once_results, multi_results)
-        for c in columns:
-            if c.name.startswith(ORD_PREFIX):
-                raise FusionError(
-                    f"column {c.name!r} collides with the "
-                    f"{ORD_PREFIX}* ordinal namespace")
-        if ctx.db is store.db:
-            exp_prefix = ""
-        else:
-            alias = ctx.db.attach(store.db)
-            if not alias:
-                raise FusionError(
-                    f"source {self.name!r}: experiment database is not "
-                    "attachable from this node")
-            exp_prefix = f"{alias}."
-
-        if not (multi_results or shown_multi):
-            # run-level values only: one row per matching run, straight
-            # off the once table (run() assembles these rows in Python)
-            where, params = self._run_where(variables, once_specs)
-            sel = []
-            if self.include_run_index:
-                sel.append(f"o.run_index AS "
-                           f"{quote_identifier('run_index')}")
-            for name in ([s.name for s in shown_once]
-                         + [v.name for v in once_results]):
-                sel.append(f"o.{quote_identifier(name)} "
-                           f"AS {quote_identifier(name)}")
-            ordinal = f"{ORD_PREFIX}0"
-            sel.append(f"o.run_index AS {quote_identifier(ordinal)}")
-            sql = (f"SELECT {', '.join(sel)} FROM {exp_prefix}pb_once o "
-                   f"JOIN {exp_prefix}pb_runs r "
-                   "ON r.run_index = o.run_index "
-                   f"WHERE {' AND '.join(where)}")
-            return SelectFragment(
-                sql, tuple(params), tuple(columns), (ordinal,),
-                (ordinal,), from_source=True, scan_ordered=True,
-                ord_rowid=False, producer=self.name)
-
-        run_rows = self._matching_runs(store, variables, once_specs,
-                                       shown_once, once_results)
-        where_sql, dparams = self._dataset_where(variables, multi_specs,
-                                                 multi_results)
-        needed = ([s.name for s in shown_multi]
-                  + [v.name for v in multi_results])
-        ord0, ord1 = f"{ORD_PREFIX}0", f"{ORD_PREFIX}1"
-        operands: list[str] = []
-        params: list[Any] = []
-        for position, run_row in enumerate(run_rows):
-            run_index = int(run_row[0])
-            once_shown_vals = list(run_row[1:1 + len(shown_once)])
-            once_result_vals = list(run_row[1 + len(shown_once):])
-            data_table = store.run_table(run_index)
-            if not store.db.table_exists(data_table):
-                continue
-            available = set(store.db.table_columns(data_table))
-            if any(n not in available for n in needed):
-                continue  # run predates these variables
-            sel = []
-            op_params: list[Any] = []
-            if self.include_run_index:
-                sel.append(f"? AS {quote_identifier('run_index')}")
-                op_params.append(run_index)
-            for s, value in zip(shown_once, once_shown_vals):
-                sel.append(f"? AS {quote_identifier(s.name)}")
-                op_params.append(value)
-            sel += [f"{quote_identifier(s.name)} "
-                    f"AS {quote_identifier(s.name)}" for s in shown_multi]
-            for v, value in zip(once_results, once_result_vals):
-                sel.append(f"? AS {quote_identifier(v.name)}")
-                op_params.append(value)
-            sel += [f"{quote_identifier(v.name)} "
-                    f"AS {quote_identifier(v.name)}"
-                    for v in multi_results]
-            sel.append(f"? AS {quote_identifier(ord0)}")
-            op_params.append(position)
-            sel.append(f"{quote_identifier('dataset_index')} "
-                       f"AS {quote_identifier(ord1)}")
-            operands.append(
-                f"SELECT {', '.join(sel)} FROM "
-                f"{exp_prefix}{quote_identifier(data_table)}{where_sql}")
-            params.extend(op_params)
-            params.extend(dparams)
-        if not operands:
-            raise FusionError(
-                f"source {self.name!r}: no matching runs — the "
-                "temp-table path produces the empty vector")
-        if len(operands) > MAX_COMPOUND_OPERANDS:
-            raise FusionError(
-                f"source {self.name!r}: {len(operands)} runs exceed "
-                f"the {MAX_COMPOUND_OPERANDS}-operand compound SELECT "
-                "limit")
-        # each operand scans its run table in rowid (== dataset_index)
-        # order and both engines emit UNION ALL operands left to right,
-        # so the natural emission order is the unfused insertion order
-        return SelectFragment(
-            " UNION ALL ".join(operands), tuple(params), tuple(columns),
-            (ord0, ord1), (ord0, ord1), from_source=True,
-            scan_ordered=True, ord_rowid=False, rescan_cheap=False,
-            producer=self.name)

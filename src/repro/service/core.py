@@ -110,6 +110,13 @@ class _Shard:
                       if service.server.independent_connections else 1)
         self._slots = threading.BoundedSemaphore(self.width)
         self._lock = threading.Lock()
+        #: held by every input/admin operation: write transactions
+        #: take SQLite's write lock up front, and SQLite hands a
+        #: contended lock to whichever connection polls at the right
+        #: moment, so a writer looping on one handle would starve a
+        #: sibling handle's admin write.  Queueing here instead wakes
+        #: the waiter as soon as the lock is free.
+        self.write_lock = threading.Lock()
         self._idle: list[Experiment] = []
         self.opened = 0
         self.retired = False
@@ -432,10 +439,12 @@ class Session:
                 access.check(self.user, needed, operation)
                 self.service._count(
                     f"service.ops.{needed.name.lower()}")
-                if retryable:
-                    return config.retry.run(lambda: fn(exp),
-                                            site="service.op")
-                return fn(exp)
+                with (shard.write_lock if needed is not UserClass.QUERY
+                      else contextlib.nullcontext()):
+                    if retryable:
+                        return config.retry.run(lambda: fn(exp),
+                                                site="service.op")
+                    return fn(exp)
 
     # -- read paths (query users) ------------------------------------------
 

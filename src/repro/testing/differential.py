@@ -156,28 +156,23 @@ def snapshot_store(store: ExperimentStore) -> dict[str, Any]:
 
 
 def query_outcome(experiment, query, *, cache=None,
-                  parallel: int = 0,
-                  pushdown: bool = False) -> dict[str, Any]:
+                  parallel: int = 0) -> dict[str, Any]:
     """Execute a query and snapshot its result.
 
     ``parallel=N`` runs it on a simulated N-node cluster through the
     parallel executor (exercising the attach-or-fallback vector
-    shipping); otherwise the serial engine is used.  ``pushdown``
-    enables SQL chain fusion; note that a fused run's snapshot omits
-    the vectors of absorbed interior elements (they were never
-    materialised) — compare name-by-name against an unfused snapshot,
-    not whole-dict.
+    shipping); otherwise the serial engine is used.
     """
     if parallel:
         from ..parallel import ParallelQueryExecutor, SimulatedCluster
         cluster = SimulatedCluster(parallel)
         result, _stats = ParallelQueryExecutor(cluster).execute(
-            query, experiment, cache=cache, pushdown=pushdown)
+            query, experiment, cache=cache)
         snapshot = snapshot_result(result)
         cluster.shutdown()
         return snapshot
     result = query.execute(experiment, cache=cache,
-                           keep_temp_tables=True, pushdown=pushdown)
+                           keep_temp_tables=True)
     return snapshot_result(result)
 
 

@@ -128,8 +128,8 @@ class TraceImporter:
         run.file_checksums[filename] = checksum
         use_defaults = self.missing is not MissingPolicy.EMPTY
         try:
-            missing = run.validate(
-                self.experiment.variables,
+            index = self.experiment.store_run(
+                run,
                 require_all=self.missing in (MissingPolicy.DISCARD,
                                              MissingPolicy.REJECT),
                 use_defaults=use_defaults)
@@ -138,8 +138,8 @@ class TraceImporter:
                 report.discarded += 1
                 return report
             raise
-        index = self.experiment.store_run(run,
-                                          use_defaults=use_defaults)
+        missing = run.missing_content(self.experiment.variables,
+                                      use_defaults=use_defaults)
         report.run_indices.append(index)
         if missing:
             report.missing[index] = missing

@@ -160,22 +160,24 @@ class TestQueryCommand:
         assert "parallel execution on 2 nodes" in \
             capsys.readouterr().out
 
-    @pytest.mark.pushdown
-    def test_no_pushdown_writes_identical_artifacts(self, workspace,
-                                                    tmp_path):
+    def test_cached_and_uncached_write_identical_artifacts(
+            self, workspace, tmp_path):
         setup_and_import(workspace)
-        fused, plain = tmp_path / "fused", tmp_path / "plain"
-        assert run(workspace, "query", "-e", "b_eff_io", "-q",
-                   str(workspace / "fig8.xml"), "--no-cache",
-                   "-o", str(fused)) == 0
-        assert run(workspace, "query", "-e", "b_eff_io", "-q",
-                   str(workspace / "fig8.xml"), "--no-cache",
-                   "--no-pushdown", "-o", str(plain)) == 0
-        names = {p.name for p in fused.iterdir()}
-        assert names == {p.name for p in plain.iterdir()} and names
-        for name in names:
-            assert (fused / name).read_bytes() == \
-                (plain / name).read_bytes()
+        outdirs = {kind: tmp_path / kind
+                   for kind in ("cold", "warm", "uncached")}
+        for kind, outdir in outdirs.items():
+            extra = ["--no-cache"] if kind == "uncached" else []
+            assert run(workspace, "query", "-e", "b_eff_io", "-q",
+                       str(workspace / "fig8.xml"), *extra,
+                       "-o", str(outdir)) == 0
+        names = {p.name for p in outdirs["uncached"].iterdir()}
+        assert names
+        for kind in ("cold", "warm"):
+            assert {p.name for p in outdirs[kind].iterdir()} == names
+            for name in names:
+                assert (outdirs[kind] / name).read_bytes() == \
+                    (outdirs["uncached"] / name).read_bytes(), \
+                    f"{kind} {name}"
 
 
 class TestAdminCommands:

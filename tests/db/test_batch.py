@@ -4,6 +4,7 @@ serial per-run path (PR-3 tentpole)."""
 
 import datetime
 import threading
+import time
 
 import pytest
 
@@ -229,3 +230,55 @@ class TestBatchContextApi:
         for run in sample_runs(4):
             serial.store_run(run, varset())
         assert dump(store) == dump(serial)
+
+
+class TestConcurrentWriters:
+    def test_batches_on_two_connections_both_commit(self, tmp_path):
+        """A batch opened while another connection's batch holds the
+        write lock waits for it instead of failing on the lock
+        upgrade: a deferred transaction would read (run index,
+        variables) and then fail its first write with "database is
+        locked", without waiting out the busy timeout."""
+        path = str(tmp_path / "demo.db")
+        first, second = (ExperimentStore(SQLiteDatabase(path))
+                         for _ in range(2))
+        first.initialise("demo")
+        first.save_variables(varset())
+        runs = sample_runs(4)
+        for store, run in zip((first, second), runs[:2]):
+            with store.batch():
+                store.store_run(run)
+        first_wrote, second_started = threading.Event(), threading.Event()
+        errors = []
+
+        def first_writer():
+            try:
+                with first.batch():
+                    first.store_run(runs[2])
+                    first_wrote.set()
+                    second_started.wait(5)
+                    time.sleep(0.3)  # the second batch opens meanwhile
+            except DatabaseError as exc:
+                errors.append(exc)
+
+        def second_writer():
+            first_wrote.wait(5)
+            second_started.set()
+            try:
+                with second.batch():
+                    second.store_run(runs[3])
+            except DatabaseError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first_writer),
+                   threading.Thread(target=second_writer)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert errors == []
+        reader = ExperimentStore(SQLiteDatabase(path))
+        assert reader.run_indices() == [1, 2, 3, 4]
+        assert sorted(reader.find_import(f"sum{i:04d}")
+                      for i in range(4)) == [1, 2, 3, 4]

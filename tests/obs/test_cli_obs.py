@@ -216,24 +216,12 @@ def make_fig8_trace(workspace, tmp_path, name="fig8.jsonl", *extra):
     return trace_path
 
 
-PUSHDOWN_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
-                               "explain_fig8_pushdown.golden")
-
-
 @pytest.mark.obs_analytics
 class TestExplainCommand:
     def test_plain_output_matches_golden(self, workspace, capsys):
         assert run(workspace, "explain", "-q",
-                   str(workspace / "fig8.xml"), "--no-pushdown") == 0
-        with open(GOLDEN, encoding="utf-8") as fh:
-            assert capsys.readouterr().out == fh.read()
-
-    @pytest.mark.pushdown
-    def test_default_output_annotates_fused_chains(self, workspace,
-                                                   capsys):
-        assert run(workspace, "explain", "-q",
                    str(workspace / "fig8.xml")) == 0
-        with open(PUSHDOWN_GOLDEN, encoding="utf-8") as fh:
+        with open(GOLDEN, encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
     def test_annotated_with_trace(self, workspace, tmp_path, capsys):

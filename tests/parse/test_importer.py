@@ -3,7 +3,7 @@ content policies and the duplicate-import guard (Section 3.2)."""
 
 import pytest
 
-from repro.core import DuplicateImportError, InputError
+from repro.core import DuplicateImportError, InputError, RunData
 from repro.core.errors import PerfbaseError
 from repro.parse import (Importer, InputDescription, MissingPolicy,
                          NamedLocation, RunSeparator, TabularColumn,
@@ -188,6 +188,31 @@ class TestMissingPolicies:
         report = imp.import_files([good, bad])
         assert report.n_imported == 1
         assert report.discarded == 1
+
+
+class TestValidateOnce:
+    def test_one_call_per_imported_run(self, simple_experiment,
+                                       tmp_path, monkeypatch):
+        """Each imported run is validated exactly once, on the
+        ``Experiment.store_run`` choke point."""
+        calls = []
+        original = RunData.validate
+
+        def counting(run, *args, **kwargs):
+            calls.append(run)
+            return original(run, *args, **kwargs)
+
+        monkeypatch.setattr(RunData, "validate", counting)
+        paths = []
+        for i, technique in enumerate(("old", "new", "old")):
+            path = tmp_path / f"r{i}.txt"
+            path.write_text(one_run_text(technique, bw=1.0 + i))
+            paths.append(path)
+        imp = Importer(simple_experiment, simple_description())
+        report = imp.import_files(paths)
+        report.merge(imp.import_text(one_run_text("new", 9.0), "t.txt"))
+        assert report.n_imported == 4
+        assert len(calls) == 4
 
 
 class TestFixedValueOverride:

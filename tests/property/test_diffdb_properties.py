@@ -107,7 +107,6 @@ def chains(draw):
         "data_seed": draw(data_seeds),
         "cache": draw(st.booleans()),
         "parallel": draw(st.sampled_from([0, 2])),
-        "pushdown": draw(st.booleans()),
     }
 
 
@@ -118,8 +117,8 @@ def outcome_or_error(exp, query, **kw):
     ``norm`` by ``max`` over the ``diff`` of two identical branches
     divides by zero, which the engine refuses eagerly.  For the
     differential property that is still a comparable outcome:
-    *indistinguishable* means every backend (and the fused vs unfused
-    path) must reject the same chain with the same error.
+    *indistinguishable* means every backend must reject the same chain
+    with the same error.
     """
     try:
         return query_outcome(exp, query, **kw)
@@ -138,24 +137,8 @@ class TestBackendsAreIndistinguishable:
             outcomes[backend] = outcome_or_error(
                 exp, chain["query"],
                 cache=chain["cache"] or None,
-                parallel=chain["parallel"],
-                pushdown=chain["pushdown"])
+                parallel=chain["parallel"])
         reference = DIFF_BACKENDS[0]
         for backend in DIFF_BACKENDS[1:]:
             assert_identical(outcomes[reference], outcomes[backend],
                              f"{reference} vs {backend}")
-        if chain["pushdown"] and not chain["cache"]:
-            # fused must also match the temp-table protocol, vector by
-            # vector (absorbed interiors are absent from the fused run)
-            unfused = outcome_or_error(
-                experiment(reference, chain["data_seed"]),
-                chain["query"], parallel=chain["parallel"])
-            fused = outcomes[reference]
-            if "error" in fused or "error" in unfused:
-                assert_identical(unfused, fused, "fused vs unfused")
-                return
-            assert_identical(unfused["artifacts"], fused["artifacts"],
-                             "fused vs unfused artifacts")
-            for name, snapshot in fused["vectors"].items():
-                assert_identical(unfused["vectors"][name], snapshot,
-                                 f"fused vs unfused vector[{name!r}]")

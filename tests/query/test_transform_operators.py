@@ -6,6 +6,7 @@ import pytest
 from repro.core import OperatorError, QueryError
 from repro.query import (Operator, Output, ParameterSpec, Query, Source)
 from repro.xmlio import parse_query_xml
+from tests.conftest import fill_simple, make_simple_experiment
 
 
 def exec_elements(exp, elements, final):
@@ -114,6 +115,14 @@ class TestNorm:
     def test_bad_mode_rejected(self):
         with pytest.raises(OperatorError, match="norm mode"):
             Operator("n", "norm", ["s"], mode="median")
+
+    def test_zero_denominator_raises(self, server):
+        exp = fill_simple(make_simple_experiment(server),
+                          value=lambda *a: 0.0)
+        with pytest.raises(QueryError,
+                           match=r"'n'.*'bw'.*denominator is 0"):
+            exec_elements(exp, [src(), Operator("m", "avg", ["s"]),
+                                Operator("n", "norm", ["m"])], "n")
 
 
 class TestConvert:
